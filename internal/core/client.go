@@ -584,22 +584,18 @@ func (c *Client) doOnce(ctx context.Context, host string, req *wire.Request, aut
 	}
 	reused := conn.Uses() > 1
 	c.trace.EmitConnAcquired(host, reused)
-	// Cancellation must reach a round trip blocked writing the request or
-	// awaiting response headers: connection I/O only honours deadlines, so
-	// a cancelled ctx (a settled hedge race, an abandoned transfer) would
-	// otherwise pin this goroutine until the server answers. The slammed
-	// deadline poisons the connection, so every path below that saw the
-	// hook fire discards it rather than recycling it.
-	stop := context.AfterFunc(ctx, func() {
-		conn.NetConn().SetDeadline(time.Unix(1, 0))
-	})
-	resp, err := c.roundTrip(ctx, conn, req, authHost)
-	if !stop() {
+	g, err := c.guard(ctx, conn)
+	if err != nil {
+		c.pool.Discard(conn)
+		return nil, reused, err
+	}
+	resp, err := c.roundTrip(g, req, authHost)
+	if g.release() {
 		// The hook fired: ctx is done, so ctx.Err() is non-nil. Report the
 		// cancellation itself, not the i/o timeout the slammed deadline
 		// manufactured — callers classify context errors specially (they
 		// must propagate, never trigger failover).
-		err = ctx.Err()
+		err = g.ctx.Err()
 	}
 	if err != nil {
 		c.pool.Discard(conn)
@@ -608,18 +604,20 @@ func (c *Client) doOnce(ctx context.Context, host string, req *wire.Request, aut
 	return &Response{Response: resp, conn: conn, client: c}, reused, nil
 }
 
-// roundTrip writes req and reads the response header on conn.
-func (c *Client) roundTrip(ctx context.Context, conn *pool.Conn, req *wire.Request, authHost string) (*wire.Response, error) {
-	if err := c.applyDeadline(ctx, conn); err != nil {
-		return nil, err
+// roundTrip writes req and reads the response header on g's connection.
+// A request whose operation has already given up is never written.
+func (c *Client) roundTrip(g *reqGuard, req *wire.Request, authHost string) (*wire.Response, error) {
+	if !g.mayWrite() {
+		return nil, g.ctx.Err()
 	}
 	c.prepare(req, authHost)
 	c.metrics.requests.Add(1)
 	c.trace.EmitRequest(req.Method, req.Host, req.Path)
-	if err := req.Write(conn.NetConn()); err != nil {
+	if err := req.Write(g.conn.NetConn()); err != nil {
 		return nil, fmt.Errorf("davix: write request: %w", err)
 	}
-	resp, err := wire.ReadResponse(conn.Reader(), req.Method)
+	g.written()
+	resp, err := wire.ReadResponse(g.conn.Reader(), req.Method)
 	if err != nil {
 		return nil, fmt.Errorf("davix: read response: %w", err)
 	}
@@ -637,11 +635,6 @@ func (c *Client) deadlineFor(ctx context.Context) time.Time {
 		deadline = d
 	}
 	return deadline
-}
-
-// applyDeadline arms conn's I/O deadline from RequestTimeout and ctx.
-func (c *Client) applyDeadline(ctx context.Context, conn *pool.Conn) error {
-	return conn.NetConn().SetDeadline(c.deadlineFor(ctx))
 }
 
 // prepare stamps the standing headers (User-Agent, auth, S3 signature) on

@@ -19,7 +19,6 @@ import (
 	"godavix/internal/bufpool"
 	"godavix/internal/digest"
 	"godavix/internal/obs"
-	"godavix/internal/pool"
 	"godavix/internal/wire"
 )
 
@@ -217,109 +216,136 @@ func (c *Client) putStreamOnce(ctx context.Context, originHost, host, path strin
 		}
 		reused := conn.Uses() > 1
 		c.trace.EmitConnAcquired(host, reused)
-
-		req := wire.NewRequest("PUT", host, path)
-		req.Body = body
-		req.ContentLength = size
-		req.Header.Set("Expect", "100-continue")
-		c.prepare(req, originHost)
-		c.metrics.requests.Add(1)
-		c.trace.EmitRequest("PUT", host, path)
-		if err := c.applyDeadline(ctx, conn); err != nil {
+		g, err := c.guard(ctx, conn)
+		if err != nil {
 			c.pool.Discard(conn)
 			return nil, "", err
 		}
-
-		// Write headers, then wait — boundedly — for the server to speak.
-		// Peek consumes nothing, so a silent server cannot desync the
-		// stream: on timeout we simply proceed to the body.
-		var interim *wire.Response
-		err = req.WriteHeader(conn.NetConn())
-		if err == nil {
-			if perr := c.awaitInterim(ctx, conn); perr == nil {
-				interim, err = wire.ReadResponse(conn.Reader(), "PUT")
-			} else if !isTimeout(perr) {
-				err = perr
+		resp, redirect, untouched, err := c.putStreamHop(g, originHost, host, path, body, size)
+		if g.release() {
+			// Cancelled: the connection is poisoned, and the error to
+			// report is the cancellation, not the slammed deadline's.
+			if resp != nil {
+				resp.KeepAlive = false
+				resp.Close()
 			}
-		}
-		if err != nil {
 			c.pool.Discard(conn)
-			lastErr = fmt.Errorf("davix: streaming PUT: %w", err)
-			// The body has not been touched, so a stale recycled
-			// connection justifies one transparent retry, like Do.
-			if attempt > 0 || !reused || ctx.Err() != nil {
-				break
-			}
-			// The replay is about to happen; count it only now.
-			c.metrics.retries.Add(1)
-			c.trace.EmitRetry("PUT(stream)", host, 1, lastErr)
-			continue
+			return nil, "", ctx.Err()
 		}
-
-		if interim != nil && interim.StatusCode != 100 {
-			// A final verdict before the body was sent. The server may
-			// still believe size bytes are coming on this connection, so
-			// it must never be recycled.
-			if interim.StatusCode/100 == 2 {
-				// Accepted without wanting the body (legal per RFC 9110).
-				interim.KeepAlive = false // forces Close to discard conn
-				return &Response{Response: interim, conn: conn, client: c}, "", nil
-			}
-			code, status := interim.StatusCode, interim.Status
-			loc := interim.Header.Get("Location")
-			c.pool.Discard(conn)
-			if isRedirect(code) {
-				if loc == "" {
-					return nil, "", fmt.Errorf("davix: redirect %d without Location from %s", code, host)
-				}
-				return nil, loc, nil
-			}
-			return nil, "", &StatusError{Code: code, Status: status, Method: "PUT", Path: path}
+		if err == nil || !untouched {
+			return resp, redirect, err
 		}
-
-		// 100 Continue (or a silent server): stream the body, then read
-		// the real response, skipping any late interim.
-		bp := obs.PathPooled
-		if req.DirectBody(conn.NetConn()) && kernelEligible(conn.NetConn()) {
-			bp = obs.PathKernel
+		lastErr = err
+		// The body has not been touched, so a stale recycled connection
+		// justifies one transparent retry, like Do.
+		if attempt > 0 || !reused || ctx.Err() != nil {
+			break
 		}
-		if err := req.WriteBody(conn.NetConn()); err != nil {
-			c.pool.Discard(conn)
-			return nil, "", fmt.Errorf("davix: streaming PUT body: %w", err)
-		}
-		c.recordBytePath(obs.Up, path, bp, size)
-		final, err := wire.ReadResponse(conn.Reader(), "PUT")
-		for err == nil && final.StatusCode == 100 {
-			final, err = wire.ReadResponse(conn.Reader(), "PUT")
-		}
-		if err != nil {
-			c.pool.Discard(conn)
-			return nil, "", fmt.Errorf("davix: streaming PUT response: %w", err)
-		}
-		return &Response{Response: final, conn: conn, client: c}, "", nil
+		// The replay is about to happen; count it only now.
+		c.metrics.retries.Add(1)
+		c.trace.EmitRetry("PUT(stream)", host, 1, lastErr)
 	}
 	return nil, "", lastErr
+}
+
+// putStreamHop makes one attempt of putStreamOnce on g's connection.
+// untouched reports a failure before the server's verdict or the body,
+// which leaves the body reader intact for a replay. Every error path
+// discards the connection.
+func (c *Client) putStreamHop(g *reqGuard, originHost, host, path string, body io.Reader, size int64) (resp *Response, redirect string, untouched bool, err error) {
+	conn := g.conn
+	if !g.mayWrite() {
+		c.pool.Discard(conn)
+		return nil, "", false, g.ctx.Err()
+	}
+	req := wire.NewRequest("PUT", host, path)
+	req.Body = body
+	req.ContentLength = size
+	req.Header.Set("Expect", "100-continue")
+	c.prepare(req, originHost)
+	c.metrics.requests.Add(1)
+	c.trace.EmitRequest("PUT", host, path)
+
+	// Write headers, then wait — boundedly — for the server to speak.
+	// Peek consumes nothing, so a silent server cannot desync the
+	// stream: on timeout we simply proceed to the body.
+	var interim *wire.Response
+	err = req.WriteHeader(conn.NetConn())
+	if err == nil {
+		if perr := c.awaitInterim(g); perr == nil {
+			interim, err = wire.ReadResponse(conn.Reader(), "PUT")
+		} else if !isTimeout(perr) {
+			err = perr
+		}
+	}
+	if err != nil {
+		c.pool.Discard(conn)
+		return nil, "", true, fmt.Errorf("davix: streaming PUT: %w", err)
+	}
+
+	if interim != nil && interim.StatusCode != 100 {
+		// A final verdict before the body was sent. The server may
+		// still believe size bytes are coming on this connection, so
+		// it must never be recycled.
+		if interim.StatusCode/100 == 2 {
+			// Accepted without wanting the body (legal per RFC 9110).
+			interim.KeepAlive = false // forces Close to discard conn
+			return &Response{Response: interim, conn: conn, client: c}, "", false, nil
+		}
+		code, status := interim.StatusCode, interim.Status
+		loc := interim.Header.Get("Location")
+		c.pool.Discard(conn)
+		if isRedirect(code) {
+			if loc == "" {
+				return nil, "", false, fmt.Errorf("davix: redirect %d without Location from %s", code, host)
+			}
+			return nil, loc, false, nil
+		}
+		return nil, "", false, &StatusError{Code: code, Status: status, Method: "PUT", Path: path}
+	}
+
+	// 100 Continue (or a silent server): stream the body, then read
+	// the real response, skipping any late interim.
+	bp := obs.PathPooled
+	if req.DirectBody(conn.NetConn()) && kernelEligible(conn.NetConn()) {
+		bp = obs.PathKernel
+	}
+	if err := req.WriteBody(conn.NetConn()); err != nil {
+		c.pool.Discard(conn)
+		return nil, "", false, fmt.Errorf("davix: streaming PUT body: %w", err)
+	}
+	g.written()
+	c.recordBytePath(obs.Up, path, bp, size)
+	final, err := wire.ReadResponse(conn.Reader(), "PUT")
+	for err == nil && final.StatusCode == 100 {
+		final, err = wire.ReadResponse(conn.Reader(), "PUT")
+	}
+	if err != nil {
+		c.pool.Discard(conn)
+		return nil, "", false, fmt.Errorf("davix: streaming PUT response: %w", err)
+	}
+	return &Response{Response: final, conn: conn, client: c}, "", false, nil
 }
 
 // awaitInterim waits up to expectContinueWait (bounded further by the
 // connection's standing deadline) for the first byte of the server's
 // interim response, without consuming it. A timeout return means the
 // server stayed silent and the caller should send the body.
-func (c *Client) awaitInterim(ctx context.Context, conn *pool.Conn) error {
+func (c *Client) awaitInterim(g *reqGuard) error {
+	conn := g.conn
 	if conn.Reader().Buffered() > 0 {
 		return nil
 	}
-	nc := conn.NetConn()
 	wait := time.Now().Add(expectContinueWait)
-	if standing := c.deadlineFor(ctx); !standing.IsZero() && standing.Before(wait) {
+	if standing := c.deadlineFor(g.ctx); !standing.IsZero() && standing.Before(wait) {
 		wait = standing
 	}
-	if err := nc.SetReadDeadline(wait); err != nil {
+	if err := g.setReadDeadline(wait); err != nil {
 		return err
 	}
 	_, err := conn.Reader().Peek(1)
 	// Restore the standing deadline whatever happened.
-	if derr := c.applyDeadline(ctx, conn); derr != nil && err == nil {
+	if derr := g.restore(c); derr != nil && err == nil {
 		err = derr
 	}
 	return err
@@ -664,9 +690,12 @@ func rangedPutUnsupported(err error) bool {
 
 // forEachChunk runs fn once per Options.ChunkSize chunk of the [start,
 // size) byte range of an object, across up to streams workers. The first
-// chunk error cancels the siblings through a derived context: in-flight
-// requests abort and queued chunks are abandoned. Parent-context
-// cancellation surfaces as ctx.Err even when no worker recorded an error.
+// chunk error cancels the siblings through a derived context whose cause
+// is errSiblingFailed: queued chunks are abandoned and in-flight requests
+// abort, except one already wholly written, which settles (see
+// reqGuard) so that no request of the transfer is left pending at the
+// server when it returns. Parent-context cancellation surfaces as ctx.Err
+// even when no worker recorded an error.
 func (c *Client) forEachChunk(ctx context.Context, start, size int64, streams int, fn func(ctx context.Context, idx int, off, ln int64) error) error {
 	cs := c.opts.ChunkSize
 	nChunks := int((size - start + cs - 1) / cs)
@@ -680,8 +709,8 @@ func (c *Client) forEachChunk(ctx context.Context, start, size int64, streams in
 		streams = 1
 	}
 
-	dctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	dctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	var (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
@@ -692,7 +721,7 @@ func (c *Client) forEachChunk(ctx context.Context, start, size int64, streams in
 		errMu.Lock()
 		if firstErr == nil {
 			firstErr = err
-			cancel()
+			cancel(errSiblingFailed)
 		}
 		errMu.Unlock()
 	}

@@ -18,6 +18,7 @@ import (
 
 	"godavix/internal/httpserv"
 	"godavix/internal/netsim"
+	"godavix/internal/obs"
 	"godavix/internal/pool"
 	"godavix/internal/storage"
 )
@@ -237,7 +238,14 @@ func TestSerialUploadWireIdenticalToPut(t *testing.T) {
 // cancelled instead of draining the remaining work queue, and the object
 // must never be committed.
 func TestUploadMidChunkFailureCancelsSiblings(t *testing.T) {
-	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 256, UploadParallelism: 2})
+	var returned atomic.Bool
+	var late atomic.Int64
+	trace := &obs.ClientTrace{Request: func(string, string, string) {
+		if returned.Load() {
+			late.Add(1)
+		}
+	}}
+	e := newEnv(t, Options{Strategy: StrategyNone, ChunkSize: 256, UploadParallelism: 2, Trace: trace})
 	e.startServer(t, dpm1, httpserv.Options{})
 
 	blob := uploadBlob(64<<8, 37) // 64 chunks
@@ -245,6 +253,7 @@ func TestUploadMidChunkFailureCancelsSiblings(t *testing.T) {
 	e.srvs[dpm1].SetFault("/cancel", httpserv.Fault{Status: 403, After: 1, Remaining: 1})
 
 	err := e.client.UploadMultiStream(context.Background(), dpm1, "/cancel", bytes.NewReader(blob), int64(len(blob)))
+	returned.Store(true)
 	if err == nil {
 		t.Fatal("expected error from failing chunk")
 	}
@@ -260,6 +269,9 @@ func TestUploadMidChunkFailureCancelsSiblings(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if now := e.srvs[dpm1].RequestsByMethod("PUT"); now != puts {
 		t.Fatalf("PUTs grew %d -> %d after the upload returned", puts, now)
+	}
+	if n := late.Load(); n != 0 {
+		t.Fatalf("client wrote %d requests after the upload returned", n)
 	}
 	if _, err := e.stores[dpm1].Stat("/cancel"); !errors.Is(err, storage.ErrNotFound) {
 		t.Fatalf("partial upload was committed: %v", err)

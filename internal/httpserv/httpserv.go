@@ -3,14 +3,15 @@
 //
 // It intentionally builds on net/http: the paper's whole argument is that
 // davix talks to *standard* HTTP services, so the server here is a stock
-// HTTP stack (with single- and multi-range support via http.ServeContent)
-// while the client side is the custom optimized layer. Knobs exist to
-// disable keep-alive (to measure the Figure-2 effect) and to inject faults
-// (to exercise the §2.4 Metalink failover).
+// HTTP stack while the client side is the custom optimized layer. Ranged
+// GETs are answered by a staging writer (byteranges.go) whose single-range
+// and multipart/byteranges responses are byte-for-byte those of
+// http.ServeContent, which still answers conditional requests. Knobs exist
+// to disable keep-alive (to measure the Figure-2 effect) and to inject
+// faults (to exercise the §2.4 Metalink failover).
 package httpserv
 
 import (
-	"bytes"
 	"context"
 	"encoding/hex"
 	"errors"
@@ -18,7 +19,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"path"
 	"sort"
 	"strconv"
 	"strings"
@@ -587,6 +587,10 @@ func wantsMetalink(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), metalink.MediaType)
 }
 
+// serveGet answers GET and HEAD: a Metalink document when one is
+// negotiated, else the stored object with the standard range semantics —
+// 206 + Content-Range for one range, multipart/byteranges for several,
+// 416 when none is satisfiable — that the davix client targets.
 func (s *Server) serveGet(w http.ResponseWriter, r *http.Request, p string) {
 	if s.opts.Metalinks != nil && wantsMetalink(r) {
 		if ml := s.opts.Metalinks(p); ml != nil {
@@ -612,14 +616,7 @@ func (s *Server) serveGet(w http.ResponseWriter, r *http.Request, p string) {
 		writeStoreErr(w, err)
 		return
 	}
-	w.Header().Set("Accept-Ranges", "bytes")
-	w.Header().Set("X-Checksum", inf.Checksum)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	setDigestHeader(w, r, data)
-	// ServeContent implements If-Range, single-range (206 +
-	// Content-Range) and multi-range (multipart/byteranges) semantics —
-	// the standards-compliant server behaviour the davix client targets.
-	http.ServeContent(w, r, path.Base(p), inf.ModTime, bytes.NewReader(data))
+	serveStored(w, r, data, data, inf)
 }
 
 // serveCorrupt is the CorruptXOR fault: the body comes from a flipped copy
@@ -637,35 +634,28 @@ func (s *Server) serveCorrupt(w http.ResponseWriter, r *http.Request, p string, 
 	if f.CorruptAt >= 0 && f.CorruptAt < int64(len(bad)) {
 		bad[f.CorruptAt] ^= f.CorruptXOR
 	}
-	w.Header().Set("Accept-Ranges", "bytes")
-	w.Header().Set("X-Checksum", inf.Checksum)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	setDigestHeader(w, r, data)
-	http.ServeContent(w, r, path.Base(p), inf.ModTime, bytes.NewReader(bad))
+	serveStored(w, r, bad, data, inf)
 }
 
 // setDigestHeader answers a Want-Digest request (RFC 3230 style, hex
 // values per the WLCG convention) with the digest of the payload this
-// response will carry: the single requested range when the request names
-// one, the whole object otherwise. Multi-range and conditional requests
-// are left without a Digest — the framing is not a single contiguous
-// payload there. pristine is always the true stored content, so a
-// corruption fault advertises the digest the bytes should have had.
-func setDigestHeader(w http.ResponseWriter, r *http.Request, pristine []byte) {
+// response will carry: the single resolved range, or the whole object
+// when there is none. Multi-range responses are left without a Digest —
+// the framing is not a single contiguous payload there — and so are
+// conditional ones, which serveStored hands to http.ServeContent first.
+// pristine is always the true stored content, so a corruption fault
+// advertises the digest the bytes should have had.
+func setDigestHeader(w http.ResponseWriter, r *http.Request, pristine []byte, ranges []byteRange) {
 	algo := strings.ToLower(strings.TrimSpace(r.Header.Get("Want-Digest")))
 	if i := strings.IndexAny(algo, ",;"); i >= 0 {
 		algo = strings.TrimSpace(algo[:i])
 	}
-	if algo == "" || !digest.Supported(algo) {
+	if algo == "" || !digest.Supported(algo) || len(ranges) > 1 {
 		return
 	}
 	body := pristine
-	if rng := r.Header.Get("Range"); rng != "" {
-		start, end, ok := parseSingleRange(rng, int64(len(pristine)))
-		if !ok {
-			return
-		}
-		body = pristine[start:end]
+	if len(ranges) == 1 {
+		body = pristine[ranges[0].start : ranges[0].start+ranges[0].length]
 	}
 	h, err := digest.New(algo)
 	if err != nil {
@@ -673,46 +663,6 @@ func setDigestHeader(w http.ResponseWriter, r *http.Request, pristine []byte) {
 	}
 	h.Write(body)
 	w.Header().Set("Digest", algo+"="+hex.EncodeToString(h.Sum(nil)))
-}
-
-// parseSingleRange parses a one-range "bytes=a-b" / "bytes=a-" / "bytes=-n"
-// header the way http.ServeContent will resolve it against size, returning
-// the half-open [start, end) span. Multi-range or malformed headers report
-// ok=false.
-func parseSingleRange(rng string, size int64) (start, end int64, ok bool) {
-	spec, found := strings.CutPrefix(rng, "bytes=")
-	if !found || strings.Contains(spec, ",") {
-		return 0, 0, false
-	}
-	lo, hi, found := strings.Cut(strings.TrimSpace(spec), "-")
-	if !found {
-		return 0, 0, false
-	}
-	if lo == "" {
-		// Suffix range: last hi bytes.
-		n, err := strconv.ParseInt(hi, 10, 64)
-		if err != nil || n <= 0 {
-			return 0, 0, false
-		}
-		if n > size {
-			n = size
-		}
-		return size - n, size, true
-	}
-	a, err := strconv.ParseInt(lo, 10, 64)
-	if err != nil || a < 0 || a >= size {
-		return 0, 0, false
-	}
-	b := size - 1
-	if hi != "" {
-		if b, err = strconv.ParseInt(hi, 10, 64); err != nil || b < a {
-			return 0, 0, false
-		}
-		if b > size-1 {
-			b = size - 1
-		}
-	}
-	return a, b + 1, true
 }
 
 func (s *Server) servePut(w http.ResponseWriter, r *http.Request, p string) {

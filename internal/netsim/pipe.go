@@ -25,6 +25,7 @@ type segQueue struct {
 	aborted  bool // connection reset: error immediately
 	deadline time.Time
 	timer    *time.Timer
+	waiters  int // readers blocked in pop
 }
 
 func newSegQueue() *segQueue {
@@ -67,6 +68,14 @@ func (q *segQueue) push(data []byte, at time.Time) {
 func (q *segQueue) pop(p []byte) (int, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	// A wake-up timer armed while waiting has no one left to wake once
+	// pop returns and no other reader waits; stop it rather than let it
+	// fire into an idle queue.
+	defer func() {
+		if q.waiters == 0 {
+			q.stopTimer()
+		}
+	}()
 	for {
 		if q.aborted {
 			return 0, ErrAborted
@@ -95,7 +104,7 @@ func (q *segQueue) pop(p []byte) (int, error) {
 				}
 			}
 			q.wakeAfter(wait)
-			q.cond.Wait()
+			q.wait()
 			continue
 		}
 		if q.closed {
@@ -107,7 +116,7 @@ func (q *segQueue) pop(p []byte) (int, error) {
 		if !q.deadline.IsZero() {
 			q.wakeAfter(time.Until(q.deadline))
 		}
-		q.cond.Wait()
+		q.wait()
 	}
 }
 
@@ -117,14 +126,27 @@ func (q *segQueue) wakeAfter(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	if q.timer != nil {
-		q.timer.Stop()
-	}
+	q.stopTimer()
 	q.timer = time.AfterFunc(d, func() {
 		q.mu.Lock()
 		q.cond.Broadcast()
 		q.mu.Unlock()
 	})
+}
+
+// wait blocks on q.cond, counted in q.waiters. Caller holds q.mu.
+func (q *segQueue) wait() {
+	q.waiters++
+	q.cond.Wait()
+	q.waiters--
+}
+
+// stopTimer cancels a pending wakeAfter. Caller holds q.mu.
+func (q *segQueue) stopTimer() {
+	if q.timer != nil {
+		q.timer.Stop()
+		q.timer = nil
+	}
 }
 
 func (q *segQueue) close() {

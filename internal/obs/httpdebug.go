@@ -10,7 +10,7 @@ import (
 
 // accessWriter captures the status code and payload byte count of one
 // response for the access log, passing Flush through so streaming handlers
-// (truncated-body fault injection, ServeContent) behave identically.
+// (truncated-body fault injection, the ranged-GET writer) behave identically.
 type accessWriter struct {
 	http.ResponseWriter
 	status int

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -31,6 +33,41 @@ const ReqLocate uint16 = 100
 
 // ErrNoReplica is returned when no federated server holds the resource.
 var ErrNoReplica = errors.New("xrootd: no live replica in federation")
+
+// triedTag appends to a Locate payload the data servers the client has
+// already failed on, comma-separated — the role xrootd's "tried=" opaque
+// field plays. The manager skips them even while its health cache, which
+// may predate the failure, still calls them alive.
+const triedTag = "?tried="
+
+// probeTimeout bounds one manager liveness probe (a Stat, over a fresh
+// connection when the server was not probed before: dial, handshake,
+// login and stat, four round trips). It is deliberately not the health
+// TTL: a TTL short enough to notice a death quickly would otherwise time
+// out the probe of a healthy server and report no live replica.
+const probeTimeout = time.Second
+
+// maxRelocates bounds how many replicas ClusterFile.ReadAt moves through
+// after the bound data server fails.
+const maxRelocates = 3
+
+// locatePayload encodes a Locate request for path excluding tried.
+func locatePayload(path string, tried []string) []byte {
+	if len(tried) == 0 {
+		return []byte(path)
+	}
+	return []byte(path + triedTag + strings.Join(tried, ","))
+}
+
+// parseLocate splits a Locate payload into the path and the servers to
+// skip.
+func parseLocate(payload string) (path string, tried []string) {
+	path, list, ok := strings.Cut(payload, triedTag)
+	if ok && list != "" {
+		tried = strings.Split(list, ",")
+	}
+	return path, tried
+}
 
 // Manager is the federation redirector. It health-checks its data servers
 // through the fabric and answers Locate requests with the first live
@@ -86,9 +123,12 @@ func (m *Manager) clientFor(addr string) *Client {
 	return c
 }
 
-// locate returns the first live server holding path.
-func (m *Manager) locate(ctx context.Context, path string) (string, error) {
+// locate returns the first live server holding path, skipping tried.
+func (m *Manager) locate(ctx context.Context, path string, tried []string) (string, error) {
 	for _, addr := range m.servers {
+		if slices.Contains(tried, addr) {
+			continue
+		}
 		m.mu.Lock()
 		h, ok := m.health[addr]
 		fresh := ok && time.Since(h.at) < m.ttl
@@ -96,7 +136,7 @@ func (m *Manager) locate(ctx context.Context, path string) (string, error) {
 		if fresh && !h.alive {
 			continue
 		}
-		pctx, cancel := context.WithTimeout(ctx, m.ttl)
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		_, _, err := m.clientFor(addr).Stat(pctx, path)
 		cancel()
 		alive := err == nil || errors.Is(err, ErrNotFound)
@@ -152,7 +192,8 @@ func (m *Manager) serveConn(c net.Conn) {
 				m.mu.Lock()
 				m.locates++
 				m.mu.Unlock()
-				addr, err := m.locate(context.Background(), string(req.Payload))
+				path, tried := parseLocate(string(req.Payload))
+				addr, err := m.locate(context.Background(), path, tried)
 				if err != nil {
 					resp.Status = StatusNotFound
 				} else {
@@ -213,7 +254,13 @@ func (cl *Cluster) clientFor(addr string) *Client {
 
 // Locate asks the manager for a live server holding path.
 func (cl *Cluster) Locate(ctx context.Context, path string) (string, error) {
-	resp, err := cl.manager.call(ctx, &requestFrame{Op: ReqLocate, Payload: []byte(path)})
+	return cl.locate(ctx, path, nil)
+}
+
+// locate asks the manager for a live server holding path other than the
+// tried ones.
+func (cl *Cluster) locate(ctx context.Context, path string, tried []string) (string, error) {
+	resp, err := cl.manager.call(ctx, &requestFrame{Op: ReqLocate, Payload: locatePayload(path, tried)})
 	if err != nil {
 		return "", err
 	}
@@ -236,26 +283,28 @@ type ClusterFile struct {
 // Open locates and opens path somewhere in the federation.
 func (cl *Cluster) Open(ctx context.Context, path string) (*ClusterFile, error) {
 	cf := &ClusterFile{cluster: cl, path: path}
-	if err := cf.relocate(ctx); err != nil {
+	if _, err := cf.relocate(ctx, nil); err != nil {
 		return nil, err
 	}
 	return cf, nil
 }
 
-// relocate (re)binds the handle to a live data server.
-func (cf *ClusterFile) relocate(ctx context.Context) error {
-	addr, err := cf.cluster.Locate(ctx, cf.path)
+// relocate (re)binds the handle to a live data server other than tried.
+// It returns the server the manager named, also when opening there
+// failed; "" means the manager named none.
+func (cf *ClusterFile) relocate(ctx context.Context, tried []string) (string, error) {
+	addr, err := cf.cluster.locate(ctx, cf.path, tried)
 	if err != nil {
-		return err
+		return "", err
 	}
 	f, err := cf.cluster.clientFor(addr).Open(ctx, cf.path)
 	if err != nil {
-		return err
+		return addr, err
 	}
 	cf.mu.Lock()
 	cf.addr, cf.file = addr, f
 	cf.mu.Unlock()
-	return nil
+	return addr, nil
 }
 
 // Server returns the data server currently bound.
@@ -272,21 +321,34 @@ func (cf *ClusterFile) Size() int64 {
 	return cf.file.Size()
 }
 
-// ReadAt reads at off, re-locating once if the bound server fails.
+// ReadAt reads at off. When the bound server fails it asks the manager
+// for another replica, excluding every server already failed on, up to
+// maxRelocates times.
 func (cf *ClusterFile) ReadAt(ctx context.Context, p []byte, off int64) (int, error) {
-	cf.mu.Lock()
-	f := cf.file
-	cf.mu.Unlock()
-	n, err := f.ReadAt(ctx, p, off)
-	if err == nil || err == io.EOF || errors.Is(err, context.Canceled) {
-		return n, err
+	var tried []string
+	for {
+		cf.mu.Lock()
+		addr, f := cf.addr, cf.file
+		cf.mu.Unlock()
+		n, err := f.ReadAt(ctx, p, off)
+		if err == nil || err == io.EOF || errors.Is(err, context.Canceled) {
+			return n, err
+		}
+		// The data server died: ask the manager for another replica.
+		tried = append(tried, addr)
+		for {
+			if len(tried) > maxRelocates {
+				return 0, err
+			}
+			next, rerr := cf.relocate(ctx, tried)
+			if rerr == nil {
+				break
+			}
+			if next == "" || ctx.Err() != nil {
+				return 0, errors.Join(err, rerr)
+			}
+			// The named replica is down too.
+			tried = append(tried, next)
+		}
 	}
-	// The data server died: ask the manager for another replica.
-	if rerr := cf.relocate(ctx); rerr != nil {
-		return 0, errors.Join(err, rerr)
-	}
-	cf.mu.Lock()
-	f = cf.file
-	cf.mu.Unlock()
-	return f.ReadAt(ctx, p, off)
 }

@@ -5,10 +5,14 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"godavix/internal/netsim"
+	"godavix/internal/pool"
 	"godavix/internal/storage"
 )
 
@@ -123,6 +127,72 @@ func TestClusterFailoverOnServerDeath(t *testing.T) {
 	}
 	if f.Server() != "ds2:1094" {
 		t.Fatalf("rebound to %s, want ds2", f.Server())
+	}
+}
+
+// TestClusterFailoverSkipsTriedServer: the client loses ds1 while the
+// manager still reaches it (a partition on the client's side), so the
+// manager's own probe calls ds1 alive. Only the tried list keeps the
+// re-locate from naming ds1 again.
+func TestClusterFailoverSkipsTriedServer(t *testing.T) {
+	e := newFedTestEnv(t, "ds1:1094", "ds2:1094")
+	blob := make([]byte, 4096)
+	rand.New(rand.NewSource(3)).Read(blob)
+	e.stores["ds1:1094"].Put("/f", blob)
+	e.stores["ds2:1094"].Put("/f", blob)
+
+	var (
+		mu    sync.Mutex
+		cut   bool
+		toDS1 []net.Conn
+	)
+	dialer := pool.DialerFunc(func(ctx context.Context, addr string) (net.Conn, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if addr == "ds1:1094" && cut {
+			return nil, errors.New("partitioned")
+		}
+		c, err := e.net.DialContext(ctx, addr)
+		if err == nil && addr == "ds1:1094" {
+			toDS1 = append(toDS1, c)
+		}
+		return c, err
+	})
+	cl := NewCluster(dialer, "mgr:1094")
+	defer cl.Close()
+	ctx := context.Background()
+	f, err := cl.Open(ctx, "/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Server() != "ds1:1094" {
+		t.Fatalf("bound to %s, want ds1", f.Server())
+	}
+	mu.Lock()
+	cut = true
+	for _, c := range toDS1 {
+		c.Close()
+	}
+	mu.Unlock()
+
+	buf := make([]byte, 256)
+	if _, err := f.ReadAt(ctx, buf, 512); err != nil {
+		t.Fatalf("federated failover read: %v", err)
+	}
+	if !bytes.Equal(buf, blob[512:768]) {
+		t.Fatal("failover content mismatch")
+	}
+	if f.Server() != "ds2:1094" {
+		t.Fatalf("rebound to %s, want ds2", f.Server())
+	}
+}
+
+func TestLocatePayloadRoundTrip(t *testing.T) {
+	for _, tried := range [][]string{nil, {"ds1:1094"}, {"ds1:1094", "ds2:1094"}} {
+		path, got := parseLocate(string(locatePayload("/store/f", tried)))
+		if path != "/store/f" || !slices.Equal(got, tried) {
+			t.Fatalf("tried %v: parsed %q %v", tried, path, got)
+		}
 	}
 }
 
