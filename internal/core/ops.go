@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/adler32"
 	"io"
 	"strconv"
 	"time"
 
+	"godavix/internal/digest"
 	"godavix/internal/metalink"
 	"godavix/internal/webdav"
 	"godavix/internal/wire"
@@ -222,7 +222,7 @@ func (c *Client) Put(ctx context.Context, host, path string, data []byte) error 
 		// makes the O(size) hash worth paying.
 		checksum := ""
 		if c.statc != nil {
-			checksum = fmt.Sprintf("adler32:%08x", adler32.Checksum(data))
+			checksum = fmt.Sprintf("adler32:%08x", digest.Sum32(digest.Adler32, data))
 		}
 		g, err := c.finishPut(resp, host, path, int64(len(data)), checksum)
 		gen = g

@@ -8,7 +8,9 @@
 // adler32 and the crc32 family are combinable: the digest of A||B is a pure
 // function of digest(A), digest(B) and len(B), so chunks hashed out of order
 // by concurrent workers roll up in O(chunks) time. md5 is not — it is only
-// available on single-stream paths where bytes arrive in order.
+// available on single-stream paths where bytes arrive in order. The same
+// math lets Sum32 hash a large buffer in parallel segments, one per
+// available core, joined by Combine.
 package digest
 
 import (
@@ -19,8 +21,10 @@ import (
 	"hash"
 	"hash/adler32"
 	"hash/crc32"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Algorithm names as they appear on the wire (X-Checksum headers, Metalink
@@ -148,10 +152,54 @@ func FromDigestHeader(v, algo string) (Checksum, bool) {
 	return Checksum{}, false
 }
 
+// minSegment is the smallest span Sum32 hands to one goroutine. A buffer
+// shorter than two of these is hashed serially: below that, goroutine
+// start-up and the combine step cost more than the second core saves.
+const minSegment = 4 << 20
+
 // Sum32 computes the 32-bit digest of b under algo (adler32/crc32/crc32c
-// only; callers must not pass md5).
+// only; callers must not pass md5). A buffer of at least two minimum
+// segments is split into up to GOMAXPROCS segments hashed concurrently.
 func Sum32(algo string, b []byte) uint32 {
-	switch strings.ToLower(algo) {
+	return sumSegments(algo, b, min(runtime.GOMAXPROCS(0), len(b)/minSegment))
+}
+
+// sumSegments hashes b as segs contiguous, near-equal segments — the
+// caller's goroutine takes the first, one goroutine each the rest — and
+// folds their digests in order with Combine. segs < 2 hashes serially.
+func sumSegments(algo string, b []byte, segs int) uint32 {
+	algo = strings.ToLower(algo)
+	segs = min(segs, len(b))
+	if segs < 2 {
+		return sum32(algo, b)
+	}
+	if !Combinable(algo) {
+		// Panic here, not inside a worker goroutine where it would be
+		// unrecoverable.
+		panic("digest: Sum32 on non-32-bit algorithm " + algo)
+	}
+	bound := func(i int) int { return len(b) * i / segs }
+	sums := make([]uint32, segs)
+	var wg sync.WaitGroup
+	for i := 1; i < segs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sums[i] = sum32(algo, b[bound(i):bound(i+1)])
+		}(i)
+	}
+	sums[0] = sum32(algo, b[:bound(1)])
+	wg.Wait()
+	acc := sums[0]
+	for i := 1; i < segs; i++ {
+		acc = Combine(algo, acc, sums[i], int64(bound(i+1)-bound(i)))
+	}
+	return acc
+}
+
+// sum32 hashes b serially under the lower-cased algo.
+func sum32(algo string, b []byte) uint32 {
+	switch algo {
 	case Adler32:
 		return adler32.Checksum(b)
 	case CRC32:

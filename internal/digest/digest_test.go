@@ -171,3 +171,59 @@ func TestCombinable(t *testing.T) {
 		t.Error("NewRollup(md5) must fail")
 	}
 }
+
+func TestSum32SegmentedMatchesStdlib(t *testing.T) {
+	data := testBuf(2*minSegment + 12345)
+	want := map[string]uint32{
+		Adler32: adler32.Checksum(data),
+		CRC32:   crc32.ChecksumIEEE(data),
+		CRC32C:  crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli)),
+	}
+	for algo, w := range want {
+		if got := Sum32(algo, data); got != w {
+			t.Errorf("%s: Sum32=%08x stdlib=%08x", algo, got, w)
+		}
+		for _, segs := range []int{2, 3, 7} {
+			if got := sumSegments(algo, data, segs); got != w {
+				t.Errorf("%s in %d segments: %08x, stdlib %08x", algo, segs, got, w)
+			}
+		}
+	}
+}
+
+func TestSum32SegmentedRejectsMD5(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("segmented md5 did not panic on the calling goroutine")
+		}
+	}()
+	sumSegments(MD5, testBuf(64), 4)
+}
+
+// FuzzSum32 checks the segmented hash, with a small forced segment count so
+// segmentation runs on fuzz-sized inputs, against the stdlib hashes, and
+// Combine against hashing the concatenation directly.
+func FuzzSum32(f *testing.F) {
+	f.Add([]byte("Wikipedia"), uint8(3), uint16(4))
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	f.Fuzz(func(t *testing.T, data []byte, segs uint8, split uint16) {
+		want := map[string]uint32{
+			Adler32: adler32.Checksum(data),
+			CRC32:   crc32.ChecksumIEEE(data),
+			CRC32C:  crc32.Checksum(data, castagnoli),
+		}
+		cut := int(split) % (len(data) + 1)
+		a, b := data[:cut], data[cut:]
+		for algo, w := range want {
+			if got := sumSegments(algo, data, int(segs%17)); got != w {
+				t.Errorf("%s in %d segments: %08x, stdlib %08x", algo, segs%17, got, w)
+			}
+			if got := Sum32(algo, data); got != w {
+				t.Errorf("%s: Sum32=%08x stdlib=%08x", algo, got, w)
+			}
+			if got := Combine(algo, Sum32(algo, a), Sum32(algo, b), int64(len(b))); got != w {
+				t.Errorf("%s split at %d: combine=%08x whole=%08x", algo, cut, got, w)
+			}
+		}
+	})
+}

@@ -13,6 +13,7 @@ package httpserv
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -643,15 +644,23 @@ func (s *Server) serveCorrupt(w http.ResponseWriter, r *http.Request, p string, 
 // when there is none. Multi-range responses are left without a Digest —
 // the framing is not a single contiguous payload there — and so are
 // conditional ones, which serveStored hands to http.ServeContent first.
-// pristine is always the true stored content, so a corruption fault
-// advertises the digest the bytes should have had.
-func setDigestHeader(w http.ResponseWriter, r *http.Request, pristine []byte, ranges []byteRange) {
+// pristine is always the true stored content, and inf its Info, so a
+// corruption fault advertises the digest the bytes should have had. A
+// whole-object adler32 is the store's own checksum, not a fresh pass over
+// the object; ranges and the other algorithms hash the payload.
+func setDigestHeader(w http.ResponseWriter, r *http.Request, pristine []byte, inf storage.Info, ranges []byteRange) {
 	algo := strings.ToLower(strings.TrimSpace(r.Header.Get("Want-Digest")))
 	if i := strings.IndexAny(algo, ",;"); i >= 0 {
 		algo = strings.TrimSpace(algo[:i])
 	}
 	if algo == "" || !digest.Supported(algo) || len(ranges) > 1 {
 		return
+	}
+	if algo == digest.Adler32 && len(ranges) == 0 {
+		if ck, err := digest.Parse(inf.Checksum); err == nil && ck.Algo == algo {
+			w.Header().Set("Digest", algo+"="+hex.EncodeToString(ck.Sum))
+			return
+		}
 	}
 	body := pristine
 	if len(ranges) == 1 {
@@ -665,6 +674,10 @@ func setDigestHeader(w http.ResponseWriter, r *http.Request, pristine []byte, ra
 	w.Header().Set("Digest", algo+"="+hex.EncodeToString(h.Sum(nil)))
 }
 
+// servePut answers PUT: a Content-Range chunk goes to serveRangedPut, a
+// whole body is read into one request-owned buffer and committed. The 201
+// carries the store's commit checksum as its Digest, so the body is hashed
+// once, at commit.
 func (s *Server) servePut(w http.ResponseWriter, r *http.Request, p string) {
 	if cr := r.Header.Get("Content-Range"); cr != "" {
 		if s.opts.DisableRangedPut {
@@ -699,22 +712,61 @@ func (s *Server) servePut(w http.ResponseWriter, r *http.Request, p string) {
 		}
 	}
 	s.partialMu.Unlock()
-	if err := s.store.Put(p, data); err != nil {
+	s.commit(w, p, data)
+}
+
+// commit stores an upload's bytes at p and answers 201 Created with the
+// Digest of what was stored (adler32, the WLCG default this testbed
+// standardizes on). A verifying client compares it against the digest it
+// accumulated while sending, closing the upload's end-to-end integrity
+// loop at zero extra reads.
+//
+// data belongs to the request — readBody's exact-size slice or an
+// assembled ranged upload — so a store offering ownedPutter takes it
+// without a copy, and the Digest is the checksum the store computed at
+// commit: one adler32 pass per upload. Any other store gets Put and the
+// bytes are hashed here, once.
+func (s *Server) commit(w http.ResponseWriter, p string, data []byte) {
+	op, owned := s.store.(ownedPutter)
+	var err error
+	if owned {
+		err = op.PutOwned(p, data)
+	} else {
+		err = s.store.Put(p, data)
+	}
+	if err != nil {
 		writeStoreErr(w, err)
 		return
 	}
-	// Echo what was actually stored: a verifying client compares this
-	// against the digest it accumulated while streaming the body, closing
-	// the upload's end-to-end integrity loop at zero extra reads.
-	setStoredDigest(w, data)
+	sum, ok := uint32(0), false
+	if owned {
+		sum, ok = s.committedAdler32(p, data)
+	}
+	if !ok {
+		sum = digest.Sum32(digest.Adler32, data)
+	}
+	w.Header().Set("Digest", digest.Adler32+"="+fmt.Sprintf("%08x", sum))
 	w.WriteHeader(http.StatusCreated)
 }
 
-// setStoredDigest attaches the Digest of committed upload bytes to a PUT
-// response (adler32, the WLCG default this testbed standardizes on).
-func setStoredDigest(w http.ResponseWriter, data []byte) {
-	w.Header().Set("Digest",
-		digest.Adler32+"="+fmt.Sprintf("%08x", digest.Sum32(digest.Adler32, data)))
+// committedAdler32 reads back the adler32 the store computed when it took
+// ownership of data at p. The stored Info is trusted only when Get returns
+// this very slice: that identity proves it describes this commit, even if
+// another writer has since replaced the path. Otherwise ok is false and
+// the caller hashes data itself.
+func (s *Server) committedAdler32(p string, data []byte) (sum uint32, ok bool) {
+	if len(data) == 0 {
+		return 0, false // no slice identity to prove; hashing nothing is free
+	}
+	got, inf, err := s.store.Get(p)
+	if err != nil || len(got) != len(data) || &got[0] != &data[0] {
+		return 0, false
+	}
+	ck, err := digest.Parse(inf.Checksum)
+	if err != nil || ck.Algo != digest.Adler32 {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(ck.Sum), true
 }
 
 // errBodyTooLarge marks a request body over the maxPartialTotal cap.
@@ -773,8 +825,8 @@ func parseContentRange(cr string) (start, end, total int64, ok bool) {
 }
 
 // ownedPutter is the optional zero-copy commit path a Store may offer
-// (MemStore does): the server hands over the assembled buffer instead of
-// having it copied again.
+// (MemStore does): the server hands over a request-owned buffer (a whole
+// body or an assembled ranged upload) instead of having it copied again.
 type ownedPutter interface {
 	PutOwned(p string, data []byte) error
 }
@@ -785,7 +837,9 @@ type ownedPutter interface {
 // davix client PUTs disjoint chunks concurrently over pooled connections;
 // out-of-order and duplicate arrivals are both tolerated. Chunk bodies
 // stream directly into the assembly buffer — concurrent chunks copy in
-// parallel, only the interval bookkeeping is serialized.
+// parallel, only the interval bookkeeping is serialized. The commit hands
+// the assembly to the store and answers with the store's commit checksum
+// as the Digest: one adler32 pass per upload, none per chunk.
 func (s *Server) serveRangedPut(w http.ResponseWriter, r *http.Request, p, cr string) {
 	start, end, total, ok := parseContentRange(cr)
 	if !ok {
@@ -886,17 +940,7 @@ func (s *Server) serveRangedPut(w http.ResponseWriter, r *http.Request, p, cr st
 	// store may retain data (PutOwned), so no writer may touch it after
 	// this point.
 	pu.writers.Wait()
-	if op, ok := s.store.(ownedPutter); ok {
-		err = op.PutOwned(p, data)
-	} else {
-		err = s.store.Put(p, data)
-	}
-	if err != nil {
-		writeStoreErr(w, err)
-		return
-	}
-	setStoredDigest(w, data)
-	w.WriteHeader(http.StatusCreated)
+	s.commit(w, p, data)
 }
 
 // sweepPartialsLocked drops assemblies idle past the TTL, never one with a

@@ -8,7 +8,6 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"hash/adler32"
 	"io/fs"
 	"os"
 	"path"
@@ -17,6 +16,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"godavix/internal/digest"
 )
 
 // Common errors, comparable with errors.Is.
@@ -65,9 +66,10 @@ type Store interface {
 	Move(src, dst string) error
 }
 
-// Checksum renders the WLCG-style Adler-32 checksum of data.
+// Checksum renders the WLCG-style Adler-32 checksum of data, hashed by
+// digest.Sum32 (in parallel segments for large objects).
 func Checksum(data []byte) string {
-	return fmt.Sprintf("adler32:%08x", adler32.Checksum(data))
+	return fmt.Sprintf("adler32:%08x", digest.Sum32(digest.Adler32, data))
 }
 
 // Clean canonicalizes an object path to a rooted, slash-separated form.
