@@ -154,7 +154,7 @@ func serveStored(w http.ResponseWriter, r *http.Request, body, pristine []byte, 
 		http.Error(w, err.Error(), http.StatusRequestedRangeNotSatisfiable)
 		return
 	}
-	setDigestHeader(w, r, pristine, inf, ranges)
+	setDigestHeader(w, r, pristine, ranges)
 	writeRanges(w, r.Method == http.MethodHead, body, ranges)
 }
 

@@ -209,6 +209,67 @@ func TestPutDigestTrustsOnlyProvenInfo(t *testing.T) {
 	}
 }
 
+// slackStore is a MemStore that records, for every slice it takes
+// ownership of, how much capacity lies past its length.
+type slackStore struct {
+	*storage.MemStore
+	slack atomic.Int64
+}
+
+func (s *slackStore) PutOwned(p string, data []byte) error {
+	s.slack.Add(int64(cap(data) - len(data)))
+	return s.MemStore.PutOwned(p, data)
+}
+
+// TestChunkedPutStoresExactSize: a whole-body PUT without Content-Length
+// (chunked transfer coding) commits the bytes sent, and the store is
+// handed an exactly-sized slice, not io.ReadAll's grown buffer.
+func TestChunkedPutStoresExactSize(t *testing.T) {
+	st := &slackStore{MemStore: storage.NewMemStore()}
+	srv := New(st, Options{})
+	var framed atomic.Int64 // non-empty PUTs that arrived with a Content-Length
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut && r.ContentLength > 0 {
+			framed.Add(1)
+		}
+		srv.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	for _, n := range []int{1, 1000, 300000} {
+		body := patterned(n)
+		url := fmt.Sprintf("%s/chunked/%d", ts.URL, n)
+		// An io.Reader of unknown length makes the client send the body
+		// chunked, so the server sees ContentLength -1.
+		req, err := http.NewRequest(http.MethodPut, url, io.MultiReader(bytes.NewReader(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		want := wantAdler32(body)
+		got, _ := digest.FromDigestHeader(resp.Header.Get("Digest"), digest.Adler32)
+		if resp.StatusCode != http.StatusCreated || got.String() != want {
+			t.Errorf("%d: status %d Digest %q, want 201 %q", n, resp.StatusCode, got.String(), want)
+		}
+		if x := headChecksum(t, url); x != want {
+			t.Errorf("%d: HEAD X-Checksum %q, want %q", n, x, want)
+		}
+		stored, _, err := st.Get(url[len(ts.URL):])
+		if err != nil || !bytes.Equal(stored, body) {
+			t.Errorf("%d: stored %d bytes (err %v), want the %d sent", n, len(stored), err, n)
+		}
+	}
+	if n := framed.Load(); n != 0 {
+		t.Fatalf("%d PUTs were sent with a Content-Length, want all chunked", n)
+	}
+	if s := st.slack.Load(); s != 0 {
+		t.Errorf("store kept %d bytes of capacity past the committed lengths, want 0", s)
+	}
+}
+
 // lagStore is a MemStore whose PutOwned returns a little after the commit
 // lands, as a store that syncs after publishing would. The lag opens the
 // window in which another writer replaces the path before the server
@@ -277,8 +338,7 @@ func TestRangedCommitDigestUnderRacingWholePuts(t *testing.T) {
 
 // TestWantDigestMatchesDirectHash: a Want-Digest answer equals hashing the
 // pristine payload directly, for every algorithm, whole object or single
-// range, GET or HEAD, plain or under the CorruptXOR fault. A whole-object
-// adler32 comes from the stored checksum.
+// range, GET or HEAD, plain or under the CorruptXOR fault.
 func TestWantDigestMatchesDirectHash(t *testing.T) {
 	srv, ts, st := newTestServer(t, Options{})
 	const size = 10000

@@ -644,23 +644,15 @@ func (s *Server) serveCorrupt(w http.ResponseWriter, r *http.Request, p string, 
 // when there is none. Multi-range responses are left without a Digest —
 // the framing is not a single contiguous payload there — and so are
 // conditional ones, which serveStored hands to http.ServeContent first.
-// pristine is always the true stored content, and inf its Info, so a
-// corruption fault advertises the digest the bytes should have had. A
-// whole-object adler32 is the store's own checksum, not a fresh pass over
-// the object; ranges and the other algorithms hash the payload.
-func setDigestHeader(w http.ResponseWriter, r *http.Request, pristine []byte, inf storage.Info, ranges []byteRange) {
+// pristine is always the true stored content, so a corruption fault
+// advertises the digest the bytes should have had.
+func setDigestHeader(w http.ResponseWriter, r *http.Request, pristine []byte, ranges []byteRange) {
 	algo := strings.ToLower(strings.TrimSpace(r.Header.Get("Want-Digest")))
 	if i := strings.IndexAny(algo, ",;"); i >= 0 {
 		algo = strings.TrimSpace(algo[:i])
 	}
 	if algo == "" || !digest.Supported(algo) || len(ranges) > 1 {
 		return
-	}
-	if algo == digest.Adler32 && len(ranges) == 0 {
-		if ck, err := digest.Parse(inf.Checksum); err == nil && ck.Algo == algo {
-			w.Header().Set("Digest", algo+"="+hex.EncodeToString(ck.Sum))
-			return
-		}
 	}
 	body := pristine
 	if len(ranges) == 1 {
@@ -777,14 +769,23 @@ var errBodyTooLarge = errors.New("httpserv: body too large")
 // uploads are this server's hottest write path. A body shorter than its
 // declared length (connection cut mid-upload) is an error: truncated
 // uploads must never commit. Chunked bodies are bounded by the same
-// maxPartialTotal cap the length-framed paths enforce.
+// maxPartialTotal cap the length-framed paths enforce, and are copied out
+// of io.ReadAll's grown buffer into an exactly-sized one: the result goes
+// to the store as is (ownedPutter), which would otherwise keep the slack
+// for the object's lifetime.
 func readBody(r *http.Request) ([]byte, error) {
 	if r.ContentLength < 0 {
 		b, err := io.ReadAll(io.LimitReader(r.Body, maxPartialTotal+1))
-		if err == nil && int64(len(b)) > maxPartialTotal {
+		if err != nil {
+			return nil, err
+		}
+		if int64(len(b)) > maxPartialTotal {
 			return nil, errBodyTooLarge
 		}
-		return b, err
+		if cap(b) > len(b) {
+			b = append(make([]byte, 0, len(b)), b...)
+		}
+		return b, nil
 	}
 	buf := make([]byte, r.ContentLength)
 	if _, err := io.ReadFull(r.Body, buf); err != nil {
