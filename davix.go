@@ -181,8 +181,9 @@ type Options struct {
 	HealthProbeAfter time.Duration
 	// Auth attaches Bearer or Basic credentials to every request.
 	Auth *Credentials
-	// VerifyChecksums enables end-to-end adler32 verification of full
-	// GETs and multi-stream downloads.
+	// VerifyChecksums compares full-object GETs against the server's
+	// X-Checksum header. Multi-stream downloads are verified under
+	// VerifyTransfers instead.
 	VerifyChecksums bool
 	// VerifyTransfers enables inline end-to-end integrity for streaming
 	// transfers: incremental digests accumulate per chunk as the bytes
@@ -571,8 +572,12 @@ func (c *Client) ReadVec(ctx context.Context, url string, ranges []Range, dsts [
 	return c.core.ReadVec(ctx, host, path, ranges, dsts)
 }
 
-// DownloadMultiStream fetches url using the multi-stream strategy:
-// parallel chunk downloads spread over the Metalink replicas (paper §2.4).
+// DownloadMultiStream fetches url into memory using the multi-stream
+// strategy: parallel chunk downloads spread over the Metalink replicas
+// (paper §2.4). It needs a Metalink for url, whatever the Strategy, and
+// otherwise behaves like DownloadMultiStreamTo into a buffer: the same
+// chunk engine, hedging, cancellation and, under VerifyTransfers, the same
+// verification against the Metalink (or server) checksum.
 func (c *Client) DownloadMultiStream(ctx context.Context, url string) ([]byte, error) {
 	host, path, err := splitURL(url)
 	if err != nil {

@@ -195,7 +195,7 @@ func TestZerocopyByteAccountingReconciles(t *testing.T) {
 
 // TestZerocopyTableRuns exercises the full experiment end to end at tiny
 // scale: every row present, the verification column proving the digest
-// rows verified and the kernel/legacy rows did not.
+// rows verified and the pooled/kernel rows did not.
 func TestZerocopyTableRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -207,18 +207,18 @@ func TestZerocopyTableRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(table.Rows))
+	if len(table.Rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(table.Rows))
 	}
-	// Row layout: 4 download modes then 2 upload modes; "verified" is last.
+	// Row layout: 3 download modes then 2 upload modes; "verified" is last.
 	verified := func(i int) string { return table.Rows[i][len(table.Rows[i])-1] }
-	if verified(2) == "0" {
+	if verified(1) == "0" {
 		t.Fatal("pooled+digest download row did not verify")
 	}
-	if verified(0) != "0" || verified(3) != "0" {
-		t.Fatalf("legacy/kernel rows claim verification: %q %q", verified(0), verified(3))
+	if verified(0) != "0" || verified(2) != "0" {
+		t.Fatalf("pooled/kernel rows claim verification: %q %q", verified(0), verified(2))
 	}
-	if verified(5) == "0" {
+	if verified(4) == "0" {
 		t.Fatal("teed+digest upload row did not verify")
 	}
 	var buf bytes.Buffer

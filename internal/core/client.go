@@ -89,13 +89,6 @@ type Options struct {
 	// it is not exposed in the public API.
 	LegacyPropfindDecode bool
 
-	// LegacyChunkBuffers switches DownloadMultiStreamTo back to the
-	// chunk-materialize path (each chunk fetched whole into a pooled
-	// ChunkSize buffer before one WriteAt). Only the zerocopy benchmark
-	// sets it, to quantify what the streaming scatter and the kernel
-	// fast path save; it is not exposed in the public API.
-	LegacyChunkBuffers bool
-
 	// UploadParallelism bounds how many ChunkSize chunks of one
 	// UploadMultiStream (or pull-mode CopyStream) are in flight
 	// concurrently, each as a Content-Range PUT on its own pooled
@@ -149,9 +142,9 @@ type Options struct {
 	// davix's cloud-storage mode (paper §1: S3 REST APIs over HTTP).
 	S3 *s3.Credentials
 
-	// VerifyChecksums enables end-to-end integrity checking: full-object
-	// GETs are compared against the server's X-Checksum header and
-	// multi-stream downloads against the Metalink checksum.
+	// VerifyChecksums compares full-object GETs against the server's
+	// X-Checksum header. Multi-stream downloads are verified under
+	// VerifyTransfers instead.
 	VerifyChecksums bool
 
 	// VerifyTransfers enables inline end-to-end integrity for streaming

@@ -70,9 +70,11 @@ func hedgeStandby(ring []Replica, idx int) (Replica, bool) {
 	return Replica{}, false
 }
 
-// chunkBuf adapts a pooled chunk-sized buffer to io.WriterAt at a fixed
-// object offset, counting delivered bytes so a cancelled hedge leg reports
-// exactly how much duplicate payload it cost.
+// chunkBuf adapts a buffer holding the object bytes from offset base on to
+// io.WriterAt: a caller's chunk slice, a whole in-memory download, or a
+// hedge leg's pooled buffer. It counts delivered bytes so a cancelled
+// hedge leg reports exactly how much duplicate payload it cost. Concurrent
+// writes must be disjoint.
 type chunkBuf struct {
 	base int64
 	buf  []byte
@@ -82,7 +84,7 @@ type chunkBuf struct {
 func (b *chunkBuf) WriteAt(p []byte, off int64) (int, error) {
 	i := off - b.base
 	if i < 0 || i+int64(len(p)) > int64(len(b.buf)) {
-		return 0, errors.New("davix: hedge buffer write outside chunk")
+		return 0, errors.New("davix: write outside chunk buffer")
 	}
 	copy(b.buf[i:], p)
 	b.n.Add(int64(len(p)))

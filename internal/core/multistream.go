@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
-	"godavix/internal/metalink"
+	"godavix/internal/digest"
 )
 
 // DownloadMultiStream implements the paper's §2.4 "multi-stream" strategy:
@@ -15,57 +16,40 @@ import (
 // next replica, so the download succeeds as long as one replica holds
 // every byte. The paper notes this maximizes client bandwidth at the cost
 // of server load.
+//
+// It needs a Metalink (Strategy is not consulted) and returns the object
+// in memory; otherwise it is DownloadMultiStreamTo into a buffer, with the
+// same streaming chunk engine, hedging and cancellation. Under
+// VerifyTransfers an adler32/crc32 checksum is verified by the chunk
+// rollup, so a mismatch names the offending chunk; an order-dependent one
+// (md5) is checked over the whole buffer. A Metalink without a checksum
+// then costs one HEAD to learn the server's.
 func (c *Client) DownloadMultiStream(ctx context.Context, host, path string) ([]byte, error) {
 	ml, err := c.GetMetalink(ctx, host, path)
 	if err != nil {
 		return nil, fmt.Errorf("davix: multi-stream needs a metalink: %w", err)
 	}
-	return c.downloadFromMetalink(ctx, ml, Replica{Host: host, Path: path})
-}
-
-// downloadFromMetalink drives the chunked parallel download.
-func (c *Client) downloadFromMetalink(ctx context.Context, ml *metalink.Metalink, primary Replica) ([]byte, error) {
-	replicas := metalinkReplicas([]Replica{primary}, ml)
-
-	size := ml.Size
-	if size < 0 {
-		// Metalink without size: stat any live replica, preferring ones
-		// the health scoreboard has not demoted.
-		var err error
-		for _, r := range c.health.order(replicas) {
-			var inf Info
-			if inf, err = c.Stat(ctx, r.Host, r.Path); err == nil {
-				size = inf.Size
-				break
-			}
-		}
-		if size < 0 {
-			return nil, fmt.Errorf("davix: cannot determine size: %w", err)
-		}
-	}
-	if size == 0 {
-		return []byte{}, nil
-	}
-
-	// Each chunk reads straight into its slice of the shared output
-	// buffer — chunks are disjoint, so no extra copy and no per-chunk
-	// allocation. The first chunk failure cancels the sibling streams.
-	out := make([]byte, size)
-	err := c.forEachChunk(ctx, 0, size, c.opts.MaxStreams, func(cctx context.Context, idx int, off, ln int64) error {
-		return c.readChunkReplicas(cctx, replicas, idx, off, out[off:off+ln])
-	})
+	src, err := c.resolveSource(ctx, path, metalinkSource(Replica{Host: host, Path: path}, ml))
 	if err != nil {
 		return nil, err
 	}
-	if c.opts.VerifyTransfers && ml.Checksum != "" {
-		// The object is materialized anyway, so whole-buffer verification
-		// against the Metalink checksum is free of extra reads.
-		if err := verifyChecksum(out, ml.Checksum, primary.Path, true); err != nil {
+	out := make([]byte, src.size)
+	verified, err := c.downloadChunks(ctx, path, src, &chunkBuf{buf: out})
+	if err != nil {
+		return nil, err
+	}
+	if algo, _, _ := strings.Cut(src.want, ":"); c.opts.VerifyTransfers && src.want != "" && !digest.Combinable(algo) {
+		// The chunk digests cannot roll up into this checksum, but the
+		// object is in memory: check it whole.
+		if err := verifyChecksum(out, src.want, path, true); err != nil {
 			if errors.Is(err, ErrChecksumMismatch) {
 				c.metrics.checksumMismatches.Add(1)
 			}
 			return nil, err
 		}
+		verified = true
+	}
+	if verified {
 		c.metrics.transfersVerified.Add(1)
 	}
 	return out, nil

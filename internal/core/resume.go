@@ -192,8 +192,11 @@ func openCheckpoint(name string, want ckHeader) (*checkpoint, []ckRecord, ckHead
 // append journals one completed chunk. Failures (including injected
 // torn-write faults) permanently stop journaling for this transfer; the
 // already-written prefix stays valid because every record is individually
-// checksummed.
+// checksummed. A nil checkpoint journals nothing.
 func (ck *checkpoint) append(off, ln int64, sum uint32) {
+	if ck == nil {
+		return
+	}
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	if ck.dead {
@@ -222,8 +225,11 @@ func (ck *checkpoint) append(off, ln int64, sum uint32) {
 // close finishes the journal. keep=true preserves a sidecar that holds
 // records so the interrupted transfer can resume; an empty journal is
 // always removed — a cancelled transfer that completed nothing must not
-// leave an orphaned sidecar behind.
+// leave an orphaned sidecar behind. Closing a nil checkpoint is a no-op.
 func (ck *checkpoint) close(keep bool) {
+	if ck == nil {
+		return
+	}
 	ck.mu.Lock()
 	defer ck.mu.Unlock()
 	ck.f.Close()

@@ -21,47 +21,30 @@ import (
 	"godavix/internal/wire"
 )
 
-// readChunkReplicas fetches [off, off+len(dst)) into dst, spreading load by
-// starting at replica idx mod len(replicas) and walking the ring on
-// unavailability, so one dead replica costs one retry per chunk rather than
-// the whole transfer. The ring is health-ordered first and replicas whose
-// breaker is open are skipped while alternatives exist — once the
-// scoreboard has demoted a dead disk node, later chunks stop paying its
-// timeout at all (a half-open probe re-admits it when it recovers).
-func (c *Client) readChunkReplicas(ctx context.Context, replicas []Replica, idx int, off int64, dst []byte) (err error) {
-	path := replicas[0].Path
-	c.trace.EmitChunkStart(obs.Down, path, idx, off, int64(len(dst)))
-	defer func() { c.trace.EmitChunkDone(obs.Down, path, idx, off, int64(len(dst)), err) }()
-	if len(replicas) > 1 {
-		if budget, ok := c.hedgeBudget(); ok {
-			// The caller's chunk slice doubles as the primary leg's WriterAt;
-			// the standby leg stays in its private buffer until it wins.
-			ring := c.health.order(replicas)
-			w := &chunkBuf{base: off, buf: dst}
-			if _, handled, herr := c.scatterChunkHedged(ctx, ring, idx, off, int64(len(dst)), w, "", digest.Adler32, false, false, budget); handled {
-				return herr
-			}
-		}
-	}
-	return c.walkReplicaRing(ctx, replicas, idx, func(rep Replica) (bool, error) {
-		n, err := c.getRangeInto(ctx, rep.Host, rep.Path, off, dst)
-		if err == nil && n == len(dst) {
-			return true, nil
-		}
-		if err == nil {
-			err = fmt.Errorf("davix: short chunk from %s: %d < %d", rep.Host, n, len(dst))
-		}
-		return ctx.Err() != nil || !replicaUnavailable(err), err
-	})
+// readChunkReplicas fetches [off, off+len(dst)) into dst through the
+// streaming chunk engine (scatterChunkReplicas): the caller's buffer is the
+// destination, and no digest or kernel path is involved.
+func (c *Client) readChunkReplicas(ctx context.Context, replicas []Replica, idx int, off int64, dst []byte) error {
+	_, err := c.scatterChunkReplicas(ctx, replicas, idx, off, int64(len(dst)), &chunkBuf{base: off, buf: dst}, "", digest.Adler32, false, false)
+	return err
 }
 
 // walkReplicaRing runs tryOne over the health-ordered replica ring starting
-// at idx mod len(replicas). tryOne returns (done, err): done means the walk
-// must stop — success, caller cancellation, or a semantic failure every
-// replica reproduces.
+// at idx mod len(replicas), so one dead replica costs one retry per chunk
+// rather than the whole transfer; replicas whose breaker is open are tried
+// last. tryOne returns (done, err): done means the walk must stop —
+// success, caller cancellation, or a semantic failure every replica
+// reproduces. Once ctx is done the error wraps ctx.Err(), not the i/o
+// timeout the cancellation provoked.
 func (c *Client) walkReplicaRing(ctx context.Context, replicas []Replica, idx int, tryOne func(Replica) (bool, error)) error {
 	ring := c.health.order(replicas)
 	var lastErr error
+	fail := func() error {
+		if cerr := ctx.Err(); cerr != nil {
+			return fmt.Errorf("%w: %w", cerr, lastErr)
+		}
+		return errors.Join(ErrAllReplicasFailed, lastErr)
+	}
 	var skipped []Replica
 	for attempt := 0; attempt < len(ring); attempt++ {
 		rep := ring[(idx+attempt)%len(ring)]
@@ -75,7 +58,7 @@ func (c *Client) walkReplicaRing(ctx context.Context, replicas []Replica, idx in
 		}
 		lastErr = err
 		if done {
-			return errors.Join(ErrAllReplicasFailed, lastErr)
+			return fail()
 		}
 	}
 	// Last resort: the breaker-skipped replicas, in ring order — the
@@ -91,7 +74,7 @@ func (c *Client) walkReplicaRing(ctx context.Context, replicas []Replica, idx in
 			break
 		}
 	}
-	return errors.Join(ErrAllReplicasFailed, lastErr)
+	return fail()
 }
 
 // metalinkReplicas appends ml's locations to reps in priority order,
@@ -124,8 +107,8 @@ type scatterResult struct {
 }
 
 // scatterChunkReplicas streams chunk idx covering [off, off+ln) straight
-// into dst, walking the replica ring exactly like readChunkReplicas but
-// without ever materializing the chunk. fastName names the target file for
+// into dst without ever materializing the chunk: a hedged race when one
+// applies, else the replica ring walk. fastName names the target file for
 // the kernel splice path ("" disables it); algo is the inline digest
 // algorithm. sum tees the body through the chunk digest; perChunk
 // additionally asks the server to commit to a per-range Digest and compares
@@ -441,43 +424,79 @@ func (c *Client) localizeMismatch(ctx context.Context, replicas []Replica, path,
 // WriteAt must tolerate concurrent disjoint writes (os.File does). Returns
 // the object size written.
 func (c *Client) DownloadMultiStreamTo(ctx context.Context, host, path string, w io.WriterAt) (int64, error) {
-	replicas := []Replica{{Host: host, Path: path}}
-	size := int64(-1)
-	want := ""
+	src := chunkSource{replicas: []Replica{{Host: host, Path: path}}, size: -1}
 	if c.opts.Strategy != StrategyNone {
 		if ml, err := c.GetMetalink(ctx, host, path); err == nil {
-			replicas = metalinkReplicas(replicas, ml)
-			size = ml.Size
-			want = ml.Checksum
+			src = metalinkSource(src.replicas[0], ml)
 		}
 	}
-	if size < 0 || (want == "" && c.opts.VerifyTransfers) {
-		// Stat fills in whichever is missing — a HEAD also reports the
-		// server's checksum, so verification never costs a data read.
-		var inf Info
-		var err error
-		for _, r := range c.health.order(replicas) {
-			if inf, err = c.Stat(ctx, r.Host, r.Path); err == nil {
-				break
-			}
-		}
-		if err != nil && size < 0 {
-			return 0, fmt.Errorf("davix: cannot determine size: %w", err)
-		}
-		if err == nil {
-			if inf.Dir {
-				return 0, fmt.Errorf("davix: download %s: is a collection", path)
-			}
-			if size < 0 {
-				size = inf.Size
-			}
-			if want == "" {
-				want = inf.Checksum
-			}
+	src, err := c.resolveSource(ctx, path, src)
+	if err != nil {
+		return 0, err
+	}
+	verified, err := c.downloadChunks(ctx, path, src, w)
+	if err != nil {
+		return 0, err
+	}
+	if verified {
+		c.metrics.transfersVerified.Add(1)
+	}
+	return src.size, nil
+}
+
+// chunkSource is what a chunked download must know before its first chunk.
+type chunkSource struct {
+	replicas []Replica // the primary first, then any Metalink replicas
+	size     int64     // -1 while unknown
+	want     string    // the server's whole-object checksum, "" when unknown
+}
+
+// metalinkSource spreads a download of primary over ml's replicas.
+func metalinkSource(primary Replica, ml *metalink.Metalink) chunkSource {
+	return chunkSource{replicas: metalinkReplicas([]Replica{primary}, ml), size: ml.Size, want: ml.Checksum}
+}
+
+// resolveSource fills in what src is missing — the size, and under
+// VerifyTransfers the checksum — from one Stat of the first live replica.
+// A HEAD also reports the server's checksum, so verification never costs a
+// data read.
+func (c *Client) resolveSource(ctx context.Context, path string, src chunkSource) (chunkSource, error) {
+	if src.size >= 0 && (src.want != "" || !c.opts.VerifyTransfers) {
+		return src, nil
+	}
+	var inf Info
+	var err error
+	for _, r := range c.health.order(src.replicas) {
+		if inf, err = c.Stat(ctx, r.Host, r.Path); err == nil {
+			break
 		}
 	}
+	switch {
+	case err != nil && src.size < 0:
+		return src, fmt.Errorf("davix: cannot determine size: %w", err)
+	case err != nil:
+		return src, nil
+	case inf.Dir:
+		return src, fmt.Errorf("davix: download %s: is a collection", path)
+	}
+	if src.size < 0 {
+		src.size = inf.Size
+	}
+	if src.want == "" {
+		src.want = inf.Checksum
+	}
+	return src, nil
+}
+
+// downloadChunks streams src's chunks into w in parallel, MaxStreams at a
+// time, resuming from and journaling to a checkpoint when one applies.
+// verified reports that the whole object was checked end to end against
+// the server: by the rolled-up chunk digests, or by a matching per-range
+// Digest on every chunk.
+func (c *Client) downloadChunks(ctx context.Context, path string, src chunkSource, w io.WriterAt) (verified bool, err error) {
+	replicas, size, want := src.replicas, src.size, src.want
 	if size == 0 {
-		return 0, nil
+		return false, nil
 	}
 
 	verify := c.opts.VerifyTransfers
@@ -488,9 +507,9 @@ func (c *Client) DownloadMultiStreamTo(ctx context.Context, host, path string, w
 		cs, err := digest.Parse(want)
 		if err != nil {
 			if errors.Is(err, digest.ErrUnsupported) {
-				return 0, fmt.Errorf("%w: %s: %v", ErrChecksumUnsupported, path, err)
+				return false, fmt.Errorf("%w: %s: %v", ErrChecksumUnsupported, path, err)
 			}
-			return 0, fmt.Errorf("davix: %s: bad server checksum: %w", path, err)
+			return false, fmt.Errorf("davix: %s: bad server checksum: %w", path, err)
 		}
 		if digest.Combinable(cs.Algo) {
 			algo = cs.Algo
@@ -511,7 +530,6 @@ func (c *Client) DownloadMultiStreamTo(ctx context.Context, host, path string, w
 		rollup         *digest.Rollup
 		sums           []chunkSum
 		verifiedChunks int
-		nChunks        int
 	)
 	if verify {
 		rollup, _ = digest.NewRollup(algo)
@@ -526,60 +544,31 @@ func (c *Client) DownloadMultiStreamTo(ctx context.Context, host, path string, w
 
 	// The kernel fast path needs a real file target and no digest tee.
 	fastName := ""
-	if f, ok := w.(*os.File); ok && !verify && ck == nil && !c.opts.LegacyChunkBuffers {
+	if f, ok := w.(*os.File); ok && !verify && ck == nil {
 		fastName = f.Name()
 	}
 
-	err := c.forEachChunk(ctx, 0, size, c.opts.MaxStreams, func(cctx context.Context, idx int, off, ln int64) error {
-		if sum, ok := skip[off]; ok {
-			// Proven intact against its journaled digest — already on disk.
-			if rollup != nil {
-				rollupMu.Lock()
-				rollup.Add(off, ln, sum)
-				sums = append(sums, chunkSum{off, ln, sum})
-				nChunks++
-				rollupMu.Unlock()
-			}
-			return nil
-		}
-		if c.opts.LegacyChunkBuffers {
-			buf := bufpool.Get(int(ln))
-			defer bufpool.Put(buf)
-			if err := c.readChunkReplicas(cctx, replicas, idx, off, buf); err != nil {
+	err = c.forEachChunk(ctx, 0, size, c.opts.MaxStreams, func(cctx context.Context, idx int, off, ln int64) error {
+		sum, ok := skip[off]
+		verifiedChunk := false
+		if !ok {
+			res, err := c.scatterChunkReplicas(cctx, replicas, idx, off, ln, w, fastName, algo, sumChunks, perChunk)
+			if err != nil {
 				return err
 			}
-			if _, err := w.WriteAt(buf, off); err != nil {
-				return err
+			if !res.summed {
+				return nil // no digest to journal or roll up
 			}
-			c.recordBytePath(obs.Down, path, obs.PathPooled, ln)
-			if rollup != nil || ck != nil {
-				sum := digest.Sum32(algo, buf)
-				if ck != nil {
-					ck.append(off, ln, sum)
-				}
-				if rollup != nil {
-					rollupMu.Lock()
-					rollup.Add(off, ln, sum)
-					sums = append(sums, chunkSum{off, ln, sum})
-					nChunks++
-					rollupMu.Unlock()
-				}
-			}
-			return nil
-		}
-		res, err := c.scatterChunkReplicas(cctx, replicas, idx, off, ln, w, fastName, algo, sumChunks, perChunk)
-		if err != nil {
-			return err
-		}
-		if ck != nil && res.summed {
 			ck.append(off, ln, res.sum)
+			sum, verifiedChunk = res.sum, res.verified
 		}
-		if rollup != nil && res.summed {
+		// A skipped chunk was proven intact against its journaled digest
+		// and is already on disk; it joins the rollup like a fetched one.
+		if rollup != nil {
 			rollupMu.Lock()
-			rollup.Add(off, ln, res.sum)
-			sums = append(sums, chunkSum{off, ln, res.sum})
-			nChunks++
-			if res.verified {
+			rollup.Add(off, ln, sum)
+			sums = append(sums, chunkSum{off, ln, sum})
+			if verifiedChunk {
 				verifiedChunks++
 			}
 			rollupMu.Unlock()
@@ -587,47 +576,39 @@ func (c *Client) DownloadMultiStreamTo(ctx context.Context, host, path string, w
 		return nil
 	})
 	if err != nil {
-		if ck != nil {
-			ck.close(true)
-		}
-		return 0, err
+		ck.close(true)
+		return false, err
 	}
 	if rollup != nil && haveWant {
 		got, rerr := rollup.Sum(size)
 		if rerr != nil {
-			if ck != nil {
-				ck.close(true)
-			}
-			return 0, rerr
+			ck.close(true)
+			return false, rerr
 		}
 		if got != wantSum {
 			c.metrics.checksumMismatches.Add(1)
-			if ck != nil {
-				// The journal vouched for bytes the rollup just condemned —
-				// none of it can be believed; the next attempt starts clean.
-				ck.close(false)
-			}
+			// The journal vouched for bytes the rollup just condemned —
+			// none of it can be believed; the next attempt starts clean.
+			ck.close(false)
 			// Narrow the blame to a chunk when a server will commit to
 			// per-range digests — HEAD probes only, no payload re-reads.
 			if ce := c.localizeMismatch(ctx, replicas, path, algo, sums); ce != nil {
-				return 0, ce
+				return false, ce
 			}
-			return 0, &ChecksumError{
+			return false, &ChecksumError{
 				Path: path, Algo: algo, Off: 0, Length: size,
 				Got:  fmt.Sprintf("%08x", got),
 				Want: fmt.Sprintf("%08x", wantSum),
 			}
 		}
-		c.metrics.transfersVerified.Add(1)
-	} else if rollup != nil && nChunks > 0 && verifiedChunks == nChunks {
+		verified = true
+	} else if rollup != nil && len(sums) > 0 && verifiedChunks == len(sums) {
 		// No combinable server checksum, but every chunk matched the
 		// server's per-range Digest — the transfer is end-to-end verified.
-		c.metrics.transfersVerified.Add(1)
+		verified = true
 	}
-	if ck != nil {
-		ck.close(false) // complete: the sidecar has served its purpose
-	}
-	return size, nil
+	ck.close(false) // complete: the sidecar has served its purpose
+	return verified, nil
 }
 
 // CopyStream copies srcHost/srcPath to destURL through this client: the

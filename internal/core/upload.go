@@ -427,11 +427,6 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 	if resumeSrc != nil {
 		ck, skip, uploadID = c.uploadCheckpoint(resumeSrc, host, path, size, probeLen, uploadID)
 	}
-	closeCk := func(keep bool) {
-		if ck != nil {
-			ck.close(keep)
-		}
-	}
 
 	// Inline integrity: with VerifyTransfers every chunk buffer — already
 	// in hand for the PUT — is digested before it ships, and the per-chunk
@@ -468,7 +463,7 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 	buf := bufpool.Get(int(probeLen))
 	if err := readChunk(ctx, 0, 0, buf); err != nil {
 		bufpool.Put(buf)
-		closeCk(true)
+		ck.close(true)
 		return err
 	}
 	addSum(0, buf)
@@ -480,10 +475,10 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 		if rangedPutUnsupported(err) {
 			// The serial fallback does not journal and commits in one
 			// request — an old journal would only mislead a later resume.
-			closeCk(false)
+			ck.close(false)
 			return fallback()
 		}
-		closeCk(true)
+		ck.close(true)
 		return err
 	}
 	c.recordBytePath(obs.Up, path, obs.PathPooled, probeLen)
@@ -525,7 +520,7 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 		return nil
 	})
 	if err != nil {
-		closeCk(true)
+		ck.close(true)
 		return err
 	}
 	if rollup != nil {
@@ -537,10 +532,10 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 			// The server-side partial assembly the journal pointed at is
 			// gone (TTL sweep, restart): self-heal with one clean
 			// journal-free re-upload instead of surfacing the phantom.
-			closeCk(false)
+			ck.close(false)
 			return c.multiStreamPut(ctx, host, path, size, par, readChunk, fallback, wantChecksum, nil)
 		}
-		closeCk(err != nil)
+		ck.close(err != nil)
 		return err
 	}
 	checksum := ""
@@ -548,7 +543,7 @@ func (c *Client) multiStreamPut(ctx context.Context, host, path string, size int
 		checksum = rollupChecksum()
 	}
 	c.primeAfterWrite(host, path, size, "", checksum)
-	closeCk(false)
+	ck.close(false)
 	return nil
 }
 
